@@ -241,9 +241,7 @@ def _cmd_reach(args) -> int:
     if args.target and rep.reachable:
         extra = []
         for label, vec in _parse_targets(args.target, sys_.n):
-            u = reach.synthesize_control(
-                sys_, rep.spec, rep.gram, vec, dense_substeps=rep.dense_substeps or 64
-            )
+            u = reach.synthesize_control(sys_, rep.spec, vec, tol=args.tol)
             endpoint = system.simulate(sys_, np.zeros(sys_.n), u, rep.window[1], dense_samples=0).final
             extra.append(
                 {
@@ -289,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, window=True):
         p.add_argument("--system", required=True, help="descriptor path or built-in name")
         p.add_argument("--tol", type=float, default=None, help="decision tolerance")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampling helpers")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if window:
             p.add_argument("--t0", type=float, required=True)

@@ -168,7 +168,6 @@ def reach_report_to_obj(rep: ReachReport) -> dict:
     if rep.spec is not None:
         out["spec"] = gram_spec_to_obj(rep.spec)
         out["gram"] = matrix_to_obj(rep.gram)
-        out["dense_substeps"] = rep.dense_substeps
         out["targets"] = [
             {
                 "target": f"e{t.target + 1}",

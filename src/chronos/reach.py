@@ -12,12 +12,15 @@ decision procedure scans, for every target coordinate i, for times where
 some v_k is i-monomial, assembles the S_k sets from one witness piece per
 coordinate, and then proves its own answer: the resulting W must be
 monomial and the synthesised controls must steer 0 to every basis vector.
-Specialised criteria for dense scales and for (non)homogeneous discrete
-grids are provided alongside for cross-checking.
+The controls come from the same Gram formula on the zero-order-hold-sampled
+system, so they are constant on each certificate piece and land on their
+target exactly up to rounding.  Specialised criteria for dense scales and
+for (non)homogeneous discrete grids are provided alongside for
+cross-checking.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,9 +50,6 @@ DENSE_SCAN_NODES = 9
 GRAM_AGREE_TOL = 1e-10
 #: Endpoint residual accepted for a synthesised control.
 SYNTH_RESIDUAL_TOL = 1e-6
-#: Starting number of piecewise-constant substeps per dense certificate piece.
-DEFAULT_SUBSTEPS = 64
-_MAX_SUBSTEPS = 1 << 16
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
@@ -119,12 +119,16 @@ class ReachReport:
     spec: GramSpec | None = None
     gram: np.ndarray | None = None
     targets: tuple | None = None
-    dense_substeps: int | None = None
     positivity: PositivityReport | None = None
 
     @property
     def reachable(self) -> bool:
         return self.decision == Decision.POSITIVELY_REACHABLE
+
+    @property
+    def dense_substeps(self) -> int | None:
+        """Constant-input steps per dense certificate piece: one, when there is a certificate."""
+        return 1 if self.targets is not None else None
 
 
 # -- accessibility ------------------------------------------------------------
@@ -273,17 +277,13 @@ def _candidate_key(c: Candidate) -> tuple:
 
 
 def decide_positive_reachability(
-    sys: LinearSystem,
-    window: tuple,
-    tol: float = DEFAULT_TOL,
-    dense_substeps: int = DEFAULT_SUBSTEPS,
-    residual_tol: float = SYNTH_RESIDUAL_TOL,
+    sys: LinearSystem, window: tuple, tol: float = DEFAULT_TOL
 ) -> ReachReport:
     """Decide positive reachability of a positive system on [t0, t1].
 
     On success the report embeds a verified certificate: the Gram spec, its
     monomial Gram matrix, and one nonnegative control per basis vector that
-    simulates from 0 to that vector within ``residual_tol``.  Witness
+    simulates from 0 to that vector within ``SYNTH_RESIDUAL_TOL``.  Witness
     selection prefers scattered atoms over dense segments, then lower
     column indices, then earlier times, so certificates are deterministic.
 
@@ -322,31 +322,22 @@ def decide_positive_reachability(
             f"candidate scan produced a non-monomial Gram matrix: {W.tolist()}"
         )
 
-    substeps = dense_substeps
-    while True:
-        targets = []
-        worst = 0.0
-        for i in range(sys.n):
-            e_i = np.zeros(sys.n)
-            e_i[i] = 1.0
-            u = synthesize_control(sys, spec, W, e_i, dense_substeps=substeps, tol=tol)
-            endpoint = simulate(sys, np.zeros(sys.n), u, t1, dense_samples=0).final
-            residual = float(np.max(np.abs(endpoint - e_i)))
-            worst = max(worst, residual)
-            targets.append(TargetCertificate(i, u, endpoint, residual))
-        if worst <= residual_tol:
-            break
-        if substeps >= _MAX_SUBSTEPS:
+    targets = []
+    for i in range(sys.n):
+        e_i = np.zeros(sys.n)
+        e_i[i] = 1.0
+        u = synthesize_control(sys, spec, e_i, tol=tol)
+        endpoint = simulate(sys, np.zeros(sys.n), u, t1, dense_samples=0).final
+        residual = float(np.max(np.abs(endpoint - e_i)))
+        if residual > SYNTH_RESIDUAL_TOL:
             raise CertificateCheckFailed(
-                f"synthesis residual {worst:.3e} above {residual_tol:.1e} "
-                f"at {substeps} substeps per dense piece"
+                f"synthesis residual {residual:.3e} for e{i + 1} above {SYNTH_RESIDUAL_TOL:.1e}"
             )
-        substeps *= 2
+        targets.append(TargetCertificate(i, u, endpoint, residual))
 
     return ReachReport(
         Decision.POSITIVELY_REACHABLE, (t0, t1), krank, diagnostics,
-        spec=spec, gram=W, targets=tuple(targets), dense_substeps=substeps,
-        positivity=pos,
+        spec=spec, gram=W, targets=tuple(targets), positivity=pos,
     )
 
 
@@ -354,74 +345,53 @@ def decide_positive_reachability(
 
 
 def synthesize_control(
-    sys: LinearSystem,
-    spec: GramSpec,
-    W: np.ndarray,
-    target,
-    dense_substeps: int = DEFAULT_SUBSTEPS,
-    tol: float = DEFAULT_TOL,
+    sys: LinearSystem, spec: GramSpec, target, tol: float = DEFAULT_TOL
 ) -> ControlSignal:
-    """Control u_k(tau) = b_k^T e_A(t1, sigma(tau))^T W^{-1} x on the S_k sets.
+    """Nonnegative control, constant on each event of the spec, steering 0 to x.
 
-    W must be the (monomial) Gram matrix of the spec and the target x must
-    be entrywise nonnegative; then the control is nonnegative and its exact
-    forced response lands on x.  Contributions from dense pieces are
-    emitted as piecewise-constant midpoint discretisations with
-    ``dense_substeps`` steps per piece, which leaves a small endpoint
-    residual that shrinks quadratically in the step count.
+    This is the Gram formula u = b_k^T e_A(t1, sigma(tau))^T W^{-1} x on the
+    zero-order-hold-sampled system.  Each event of S_k contributes the
+    generator g = mu e_A(t1, sigma(tau)) b_k at an atom, or
+    g = e_A(t1, end) (int_0^len e^(A s) ds) b_k on a dense piece, and the
+    constant input g^T c / h on it (h = mu or len), where W_h c = x and
+    W_h = sum g g^T / h.  The forced response is sum g u = W_h c = x, exact
+    up to rounding.  W_h must be monomial (``NotMonomialGram`` otherwise)
+    and x entrywise nonnegative (``NegativeTarget``); then c and every
+    input are nonnegative.
     """
     x_bar = np.asarray(target, dtype=float).reshape(-1)
     if x_bar.shape[0] != sys.n:
         raise ValueError(f"target has dimension {x_bar.shape[0]}, expected {sys.n}")
     if x_bar.min() < 0:
         raise NegativeTarget(f"target {x_bar.tolist()} has negative entries")
-    W = matrices.as_matrix(W)
-    if not matrices.is_monomial(W, tol):
-        raise NotMonomialGram("synthesis requires a monomial Gram matrix")
-    c = np.linalg.solve(W, x_bar)
     t0, t1 = spec.window
     t1 = sys.scale.snap(t1)
 
-    # (start, end, column, scalar value) stretches; per column disjoint
-    stretches = []
+    # (start, end, column, generator g, hold length h); per column disjoint
+    pieces = []
     for k in spec.M:
         b = sys.B[:, k]
         for ev in spec.sets[k].events():
             if isinstance(ev, Atom):
-                v = ts_exp(sys.A, sys.scale, t1, ev.end) @ b
-                stretches.append((ev.t, ev.end, k, max(float(v @ c), 0.0)))
+                g = ev.mu * (ts_exp(sys.A, sys.scale, t1, ev.end) @ b)
+                pieces.append((ev.t, ev.end, k, g, ev.mu))
             else:
                 E_end = ts_exp(sys.A, sys.scale, t1, ev.end)
-                g = E_end.T @ c
-                n_sub = max(1, int(dense_substeps))
-                h = ev.length / n_sub
-                # back-to-front recurrence for exp(A (end - midpoint_j))
-                step = matrices.expm(sys.A, h)
-                M_j = matrices.expm(sys.A, 0.5 * h)  # at the last midpoint
-                vals = [0.0] * n_sub
-                for j in range(n_sub - 1, -1, -1):
-                    vals[j] = max(float((M_j @ b) @ g), 0.0)
-                    if j > 0:
-                        M_j = M_j @ step
-                for j in range(n_sub):
-                    a0 = ev.start + j * h
-                    b0 = ev.end if j == n_sub - 1 else ev.start + (j + 1) * h
-                    if a0 < b0:  # guard against rounded-away substeps
-                        stretches.append((a0, b0, k, vals[j]))
+                g = E_end @ matrices.expm_integral(sys.A, ev.length) @ b
+                pieces.append((ev.start, ev.end, k, g, ev.length))
+    W_h = sum((np.outer(g, g) / h for *_, g, h in pieces), np.zeros((sys.n, sys.n)))
+    if not matrices.is_monomial(W_h, tol):
+        raise NotMonomialGram(
+            f"synthesis requires a monomial sampled Gram matrix: {W_h.tolist()}"
+        )
+    c = np.linalg.solve(W_h, x_bar)
 
-    times = sorted({t0, *(s[0] for s in stretches), *(s[1] for s in stretches)} - {t1})
-    per_column = {k: sorted(s for s in stretches if s[2] == k) for k in spec.M}
-    starts = {k: [s[0] for s in col] for k, col in per_column.items()}
-    values = []
-    for t in times:
-        vec = np.zeros(sys.m)
-        for k, col in per_column.items():
-            idx = bisect_right(starts[k], t) - 1
-            if idx >= 0:
-                a0, b0, _, val = col[idx]
-                if a0 <= t < b0:
-                    vec[k] = val
-        values.append(vec)
+    times = sorted({t0, *(p[0] for p in pieces), *(p[1] for p in pieces)} - {t1})
+    values = [np.zeros(sys.m) for _ in times]
+    for start, end, k, g, h in pieces:
+        u = max(float(g @ c) / h, 0.0)
+        for j in range(bisect_left(times, start), bisect_left(times, end)):
+            values[j][k] = u
     return ControlSignal(t0, t1, tuple(times), tuple(values))
 
 

@@ -77,6 +77,15 @@ def interior_positive_system(rng, scale: ch.TimeScale, n: int, m: int) -> ch.Lin
     return ch.LinearSystem(scale, A, sys.B)
 
 
+def real_line_positive(rng, n: int) -> ch.LinearSystem:
+    """Positively reachable system on [0, 1]: diagonal A, B with a monomial n x n part."""
+    A = np.diag(rng.uniform(-1.5, 0.5, size=n))
+    B = np.zeros((n, n + 1))
+    B[rng.permutation(n), np.arange(n)] = rng.uniform(0.2, 2.0, size=n)
+    B[:, n] = sparse_nonneg(rng, n, 1)[:, 0]
+    return ch.LinearSystem(ch.TimeScale.real_line(0, 1), A, B)
+
+
 def decisive_random_matrix(rng, n: int, zero_p: float = 0.35, neg_p: float = 0.3):
     """Entries are 0 or decisively signed (|entry| in [0.1, 2]).
 

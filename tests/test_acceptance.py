@@ -178,14 +178,6 @@ def test_acceptance_07_discrete_cone_oracle_equivalence():
             assert rep.reachable == oracle, f"trial {trial}: decide != oracle"
 
 
-def _real_line_positive(rng, n):
-    A = np.diag(rng.uniform(-1.5, 0.5, size=n))
-    B = np.zeros((n, n + 1))
-    B[rng.permutation(n), np.arange(n)] = rng.uniform(0.2, 2.0, size=n)
-    B[:, n] = support.sparse_nonneg(rng, n, 1)[:, 0]
-    return LinearSystem(TimeScale.real_line(0, 1), A, B)
-
-
 def _real_line_negative(rng, n):
     if rng.random() < 0.5:
         # Metzler with a decisive off-diagonal coupling
@@ -209,7 +201,7 @@ def test_acceptance_08_real_line_criterion_equivalence():
     with timer(60.0):
         rng = np.random.default_rng(808)
         for trial in range(100):
-            sys = _real_line_positive(rng, int(rng.integers(2, 4)))
+            sys = support.real_line_positive(rng, int(rng.integers(2, 4)))
             rep = ch.decide_positive_reachability(sys, (0, 1))
             assert ch.check_pr_real_line(sys) is True
             assert rep.reachable, f"positive trial {trial} not reachable"

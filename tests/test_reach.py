@@ -182,7 +182,7 @@ def test_decide_requires_positive_system():
 
 def test_synthesize_integer_grid_basis_target():
     rep = ch.decide_positive_reachability(INTEGER, (0, 2))
-    u = ch.synthesize_control(INTEGER, rep.spec, rep.gram, [0.0, 1.0])
+    u = ch.synthesize_control(INTEGER, rep.spec, [0.0, 1.0])
     assert u.value_at(0).tolist() == [1.0, 0.0]
     assert u.value_at(1).tolist() == [0.0, 0.0]
     final = ch.simulate(INTEGER, np.zeros(2), u, 2).final
@@ -191,13 +191,13 @@ def test_synthesize_integer_grid_basis_target():
 
 def test_synthesize_zero_target_gives_zero_control():
     rep = ch.decide_positive_reachability(INTEGER, (0, 2))
-    u = ch.synthesize_control(INTEGER, rep.spec, rep.gram, [0.0, 0.0])
+    u = ch.synthesize_control(INTEGER, rep.spec, [0.0, 0.0])
     assert u.min_value() == 0.0 and max(v.max() for v in u.values) == 0.0
 
 
 def test_synthesize_spliced_scale_routes_through_the_late_atom():
     rep = ch.decide_positive_reachability(SPLICED, (0, 3))
-    u = ch.synthesize_control(SPLICED, rep.spec, rep.gram, [1.0, 0.0])
+    u = ch.synthesize_control(SPLICED, rep.spec, [1.0, 0.0])
     assert u.value_at(0).tolist() == [0.0]
     assert u.value_at(1.5).tolist() == [0.0]
     assert u.value_at(2)[0] == pytest.approx(1.0)
@@ -205,12 +205,30 @@ def test_synthesize_spliced_scale_routes_through_the_late_atom():
     np.testing.assert_allclose(final, [1.0, 0.0], atol=1e-12)
 
 
+def test_synthesized_certificates_are_exact_on_the_real_line():
+    # the real-line systems of acceptance criterion 8: every certificate
+    # holds one constant input per spec event and lands on its target
+    rng = np.random.default_rng(808)
+    for trial in range(100):
+        sys = support.real_line_positive(rng, int(rng.integers(2, 4)))
+        rep = ch.decide_positive_reachability(sys, (0, 1))
+        events = {ev for k in rep.spec.M for ev in rep.spec.sets[k].events()}
+        for cert in rep.targets:
+            assert len(cert.control.times) == len(events), f"trial {trial}"
+            endpoint = ch.simulate(sys, np.zeros(sys.n), cert.control, 1, dense_samples=0).final
+            target = np.zeros(sys.n)
+            target[cert.target] = 1.0
+            assert np.max(np.abs(endpoint - target)) <= 1e-12, f"trial {trial}"
+
+
 def test_synthesize_rejects_bad_inputs():
     rep = ch.decide_positive_reachability(INTEGER, (0, 2))
     with pytest.raises(NegativeTarget):
-        ch.synthesize_control(INTEGER, rep.spec, rep.gram, [-1.0, 0.0])
+        ch.synthesize_control(INTEGER, rep.spec, [-1.0, 0.0])
+    # both columns over [0, 2): the sampled Gram matrix is [[3, 3], [3, 6]]
+    both = GramSpec((0.0, 2.0), {k: DeltaSet.window(INTEGER.scale, 0.0, 2.0) for k in (0, 1)})
     with pytest.raises(NotMonomialGram):
-        ch.synthesize_control(INTEGER, rep.spec, np.array([[3.0, 3.0], [3.0, 6.0]]), [1.0, 0.0])
+        ch.synthesize_control(INTEGER, both, [1.0, 0.0])
 
 
 # -- specialised criteria --------------------------------------------------------------
