@@ -16,6 +16,7 @@ false, 2 on any error.  ``CHRONOS_TOL`` overrides the default tolerance.
 """
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -42,8 +43,12 @@ def _default_tol() -> float:
         raise ParseError(f"CHRONOS_TOL = {raw!r} is not a number") from exc
 
 
+#: The built-in demo table, built on first use and shared by later calls.
+_demo_systems = functools.cache(demo.demo_systems)
+
+
 def _load_system(arg: str) -> system.LinearSystem:
-    builtins = demo.demo_systems()
+    builtins = _demo_systems()
     if arg in builtins:
         return builtins[arg].system
     return descriptors.system_from_obj(descriptors.load_json(arg))
@@ -258,7 +263,7 @@ def _cmd_reach(args) -> int:
 
 def _print_examples() -> int:
     out = {}
-    for name, d in demo.demo_systems().items():
+    for name, d in _demo_systems().items():
         out[name] = {
             "description": d.description,
             "window": {"t0": d.window[0], "t1": d.window[1]},
@@ -271,6 +276,7 @@ def _print_examples() -> int:
 # -- argument plumbing ------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chronos",

@@ -15,7 +15,6 @@ labels are 1-based on the wire, matching the CLI flags, while the Python
 API is 0-based throughout.
 """
 
-import csv
 import json
 import math
 
@@ -196,10 +195,11 @@ def analysis_to_obj(sys: LinearSystem, rep: AnalysisReport) -> dict:
 
 def write_trajectory_csv(traj: Trajectory, fh) -> None:
     n = traj.states.shape[1]
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["t"] + [f"x{i + 1}" for i in range(n)])
-    for t, x in zip(traj.times, traj.states):
-        writer.writerow([_fmt_float(float(t))] + [_fmt_float(float(v)) for v in x])
+    # "%.17g" spells -0, inf, -inf and nan exactly as _fmt_float does
+    row = ",".join(["%.17g"] * (n + 1)) + "\n"
+    data = np.column_stack((traj.times, traj.states)).tolist()
+    header = ",".join(["t"] + [f"x{i + 1}" for i in range(n)]) + "\n"
+    fh.write(header + "".join([row % tuple(r) for r in data]))
 
 
 # -- deterministic JSON ------------------------------------------------------------

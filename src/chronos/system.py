@@ -9,7 +9,7 @@ continuous segments.
 """
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -233,24 +233,19 @@ def exp_nonneg_witness(
 # -- simulation --------------------------------------------------------------
 
 
-def _roundsig(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 class _StepCache:
-    """Zero-order-hold update matrices keyed by (rounded) step length."""
+    """Zero-order-hold update matrices keyed by the exact step length."""
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
         self.A, self.B = A, B
         self._data: dict = {}
 
     def get(self, dt: float):
-        key = _roundsig(dt)
-        hit = self._data.get(key)
+        hit = self._data.get(dt)
         if hit is None:
-            E = matrices.expm(self.A, key)
-            GB = matrices.expm_integral(self.A, key) @ self.B
-            hit = self._data[key] = (E, GB)
+            E = matrices.expm(self.A, dt)
+            GB = matrices.expm_integral(self.A, dt) @ self.B
+            hit = self._data[dt] = (E, GB)
         return hit
 
 
@@ -269,6 +264,8 @@ def simulate(
     x(c + d) = e^(A d) x(c) + (int_0^d e^(A s) ds) B u.
     ``dense_samples`` bounds the reporting resolution per continuous
     segment (0 records only step boundaries); it never affects endpoints.
+    Finiteness is checked once over the recorded samples; a non-finite
+    sample raises ``NonFiniteState`` naming the first such sample time.
     """
     ts = sys.scale
     x = np.asarray(x0, dtype=float).reshape(-1)
@@ -287,39 +284,40 @@ def simulate(
             raise DomainMismatch(f"control switch time {t} is not in the time scale")
 
     rec_t = [t0]
-    rec_x = [x.copy()]
+    rec_x = [x]
     cache = _StepCache(sys.A, sys.B)
 
-    def record(t, state):
-        if not np.all(np.isfinite(state)):
-            raise NonFiniteState(f"state became non-finite at t = {t}")
-        rec_t.append(t)
-        rec_x.append(state.copy())
-
-    if tend > t0:
-        for ev in ts.partition(t0, tend):
+    events = ts.partition(t0, tend) if tend > t0 else []
+    # An overflow is reported once, as NonFiniteState, after the window is done.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ev in events:
             if isinstance(ev, Atom):
-                uu = u.value_at(ev.t)
-                x = x + ev.mu * (sys.A @ x + sys.B @ uu)
-                record(ev.end, x)
+                x = x + ev.mu * (sys.A @ x + sys.B @ u.value_at(ev.t))
+                rec_t.append(ev.end)
+                rec_x.append(x)
             else:
                 res = ev.length / dense_samples if dense_samples > 0 else math.inf
-                switches = [t for t in u.times if ev.start < t < ev.end]
-                bounds = [ev.start] + switches + [ev.end]
+                switches = u.times[bisect_right(u.times, ev.start) : bisect_left(u.times, ev.end)]
+                bounds = [ev.start, *switches, ev.end]
                 for a, b in zip(bounds, bounds[1:]):
                     if b <= a:
                         continue
-                    uu = u.value_at(a)
                     n_sub = 1
                     if res < (b - a):
                         n_sub = min(int(math.ceil((b - a) / res - 1e-9)), 4096)
                     h = (b - a) / n_sub
                     E, GB = cache.get(h)
-                    for j in range(n_sub):
-                        x = E @ x + GB @ uu
-                        record(b if j == n_sub - 1 else a + (j + 1) * h, x)
+                    GBu = GB @ u.value_at(a)
+                    for j in range(1, n_sub + 1):
+                        x = E @ x + GBu
+                        rec_t.append(b if j == n_sub else a + j * h)
+                        rec_x.append(x)
 
-    return Trajectory(np.asarray(rec_t), np.asarray(rec_x))
+    states = np.array(rec_x)
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise NonFiniteState(f"state became non-finite at t = {rec_t[int(np.argmin(finite))]}")
+    return Trajectory(np.asarray(rec_t), states)
 
 
 # -- reachable-set sampling ---------------------------------------------------

@@ -5,7 +5,7 @@ import sys as _sys
 import numpy as np
 import pytest
 
-from chronos import demo_systems
+from chronos import cli, demo_systems
 from chronos.cli import main
 from chronos.descriptors import jdumps, system_to_obj
 
@@ -192,6 +192,16 @@ def test_reach_requested_target(capsys):
     assert req["target"] == "e1"
     assert req["residual"] <= 1e-6
     assert req["endpoint"] == [1, 0]
+
+
+def test_repeated_calls_share_the_parser_but_not_its_results(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        code, out, _ = run(
+            capsys, "reach", "--system", "hybrid", "--t0", "0", "--t1", "3", "--target", "e1"
+        )
+        assert code == 0
+        assert [r["target"] for r in json.loads(out)["requested_targets"]] == ["e1"]
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -85,6 +87,40 @@ def test_trajectory_csv_format(tmp_path):
     assert lines[0] == "t,x1,x2"
     assert lines[1] == "0,0,0"
     assert lines[-1] == "2,0,1"
+
+
+def _reference_trajectory_csv(traj) -> str:
+    """The csv.writer-based writer that write_trajectory_csv replaced."""
+
+    def fmt(x):
+        if math.isinf(x):
+            return "inf" if x > 0 else "-inf"
+        if math.isnan(x):
+            return "nan"
+        return format(x, ".17g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["t"] + [f"x{i + 1}" for i in range(traj.states.shape[1])])
+    for t, x in zip(traj.times, traj.states):
+        writer.writerow([fmt(float(t))] + [fmt(float(v)) for v in x])
+    return buf.getvalue()
+
+
+def test_trajectory_csv_matches_reference_writer():
+    edge = np.array([-0.0, 5e-324, 1.7976931348623157e308, 0.1, math.inf, -math.inf, math.nan])
+    times = np.arange(edge.size) / 3.0
+    trajectories = (
+        ch.Trajectory(edge, edge.reshape(-1, 1)),
+        ch.Trajectory(times, np.stack([np.roll(edge, k) for k in range(4)], axis=1)),
+    )
+    for traj in trajectories:
+        buf = io.StringIO()
+        d.write_trajectory_csv(traj, buf)
+        assert buf.getvalue() == _reference_trajectory_csv(traj)
+    lines = _reference_trajectory_csv(trajectories[0]).splitlines()
+    assert lines[:3] == ["t,x1", "-0,-0", "4.9406564584124654e-324,4.9406564584124654e-324"]
+    assert lines[5:] == ["inf,inf", "-inf,-inf", "nan,nan"]
 
 
 def test_reach_report_serialisation_is_one_based():

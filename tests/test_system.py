@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from chronos import (
     TimeScale,
     exp_nonneg_witness,
     is_positive,
+    matrices,
     positivity_matrix,
     random_nonneg_controls,
     sample_positive_reachable,
@@ -124,6 +126,36 @@ def test_simulate_dimension_checks():
     with pytest.raises(DomainMismatch):
         u3 = ControlSignal.from_segments(0, 2, [(0, [0.0, 0.0]), (0.5, [1.0, 1.0])])
         simulate(INTEGER, np.zeros(2), u3, 2)  # switch time off the scale
+
+
+def test_simulate_names_first_non_finite_sample():
+    atoms = LinearSystem(TimeScale.h_grid(1.0, 0.0, 3), np.array([[10.0]]), np.zeros((1, 1)))
+    # 32 samples of length 5/32 on [0, 5]: the 16th one overflows, mid-segment
+    dense = LinearSystem(
+        TimeScale.real_line(0, 5), np.array([[300.0, 0.0], [1.0, -1.0]]), np.zeros((2, 1))
+    )
+    cases = ((atoms, [1e306], 3, r"3\.0"), (dense, [1.0, 0.0], 5, r"2\.5"))
+    for sys, x0, t1, t in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning besides the error
+            with pytest.raises(NonFiniteState, match=rf"at t = {t}$"):
+                simulate(sys, np.array(x0), ControlSignal.zero(0, t1, 1), t1)
+
+
+def test_simulate_holds_each_input_for_its_exact_step():
+    sys = LinearSystem(
+        TimeScale.real_line(0, 1),
+        np.array([[-1.0, 0.5], [2.0, -3.0]]),
+        np.array([[1.0], [0.5]]),
+    )
+    u = ControlSignal.from_segments(0, 1, [(0, [1.0]), (1 / 3, [0.25]), (2 / 3, [2.0])])
+    x0 = np.array([1.0, 0.5])
+    x = x0
+    for a, b in zip(u.times, u.times[1:] + (1.0,)):
+        GB = matrices.expm_integral(sys.A, b - a) @ sys.B
+        x = matrices.expm(sys.A, b - a) @ x + GB @ u.value_at(a)
+    endpoint = simulate(sys, x0, u, 1, dense_samples=0).final
+    assert np.max(np.abs(endpoint - x)) <= 1e-15 * np.max(np.abs(x))
 
 
 def test_superposition():
